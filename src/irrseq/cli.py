@@ -15,7 +15,7 @@ from .errors import PolyParseError
 from .extfield import factor_r, tilde
 from .fp import is_prime
 from .graph import GRAPH_LIMIT, build_graph, conjugacy_check, export_dot, verify_tree_structure
-from .poly import FpPoly
+from .poly import FpPoly, admissible_seed
 from .sequence import SeqConfig, TieBreak, build_sequence
 from .verify import run_all
 from .extfield import ExtField
@@ -47,12 +47,10 @@ def _parse_poly(text: str, p: int) -> FpPoly:
 
 
 def _require_seed(f: FpPoly, *, allow_x: bool = True) -> None:
-    p = f.p
-    if not f.is_monic or f.degree < 1:
-        raise _UsageError(f"{f} is not monic of degree >= 1")
-    if f in (FpPoly((1, 1), p), FpPoly((p - 1, 1), p)):
-        raise _UsageError("x+1 and x-1 are excluded inputs")
-    if not allow_x and f == FpPoly.x(p):
+    if not admissible_seed(f):
+        raise _UsageError(f"{f} is not an admissible input: it must be monic "
+                          "of degree >= 1 and neither x+1 nor x-1")
+    if not allow_x and f == FpPoly.x(f.p):
         raise _UsageError("x is an excluded input here (its only root is 0)")
 
 

@@ -5,6 +5,8 @@ and exposes element arithmetic, the quadratic-residue test, square roots
 obtained from a linear system over F_p, minimal polynomials, the map
 x -> (x + 1/x)/2 on the projective line, and the equal-degree
 factorization of the doubling transform of an irreducible polynomial.
+Whether that transform splits is decided once, from the character of
+f(1)*f(-1) in F_p; the field is only built to find the factors.
 
 Elements carry their coordinates in the power basis 1, b, ..., b^(n-1)
 of the residue class b of x.  The point at infinity of the projective
@@ -18,12 +20,7 @@ from dataclasses import dataclass
 from . import _arith
 from .errors import InternalInvariantError, NonResidueError
 from .fp import fp_sqrt, legendre, require_odd_prime, solve_nullspace
-from .poly import FpPoly
-
-# Degree times modulus bit length below which the residue test simply
-# raises to the (q-1)/2 power; above it the norm route through composed
-# Frobenius powers is used.  Both compute the same predicate.
-_DIRECT_RESIDUE_BITS = 512
+from .poly import FpPoly, admissible_seed, r_irreducibility_predicate
 
 
 class ExtField:
@@ -127,15 +124,12 @@ class ExtField:
     def is_square(self, u: "ExtElem") -> bool:
         """Whether nonzero u satisfies u**((q-1)/2) = 1.
 
-        Small fields test the power directly; larger ones reduce to the
-        Legendre symbol of the norm of u in F_p, which is the same
-        quantity because (q-1)/2 = ((p-1)/2) * (q-1)/(p-1).
+        Decided by the Legendre symbol of the norm of u in F_p, which is
+        the same quantity because (q-1)/2 = ((p-1)/2) * (q-1)/(p-1).
         """
         self._own(u)
         if u.is_zero:
             raise ValueError("zero has no quadratic character")
-        if self.n * self.p.bit_length() <= _DIRECT_RESIDUE_BITS:
-            return self._ctx.powmod(list(u.coords), (self.q - 1) // 2) == [1]
         return legendre(self._ctx.norm_to_prime(list(u.coords)), self.p) == 1
 
     def sqrt(self, a: "ExtElem") -> "ExtElem":
@@ -145,11 +139,12 @@ class ExtField:
         system over F_p; the solution line gives c with c**2/a in F_p,
         and dividing c by a square root of that constant yields the
         result.  The kernel vector is normalized (first nonzero
-        coordinate 1) so the output is deterministic.
+        coordinate 1) so the output is deterministic.  A zero or
+        non-square a leaves the kernel empty (a nonzero solution c would
+        make a = c**2 / (c**2/a) a square), which raises NonResidueError;
+        no separate residue test runs.
         """
         self._own(a)
-        if a.is_zero or not self.is_square(a):
-            raise NonResidueError(f"{a} is not a nonzero square in {self!r}")
         p = self.p
         cap_a = a ** ((p - 1) // 2)
         frob = self.frobenius_matrix()
@@ -157,6 +152,8 @@ class ExtField:
         system = [[(frob[i][j] - mult[i][j]) % p for j in range(self.n)]
                   for i in range(self.n)]
         kernel = solve_nullspace(system, p)
+        if not kernel:
+            raise NonResidueError(f"{a} is not a nonzero square in {self!r}")
         if len(kernel) != 1:
             raise InternalInvariantError(
                 f"square-root system has kernel dimension {len(kernel)}, expected 1")
@@ -380,71 +377,51 @@ class RFactorization:
 
 
 def _validate_seed(f: FpPoly, trusted: bool) -> None:
-    p = f.p
-    if not f.is_monic or f.degree < 1:
-        raise ValueError("input must be monic of degree >= 1")
-    if f in (FpPoly((1, 1), p), FpPoly((p - 1, 1), p)):
-        raise ValueError("x+1 and x-1 are excluded inputs")
+    if not admissible_seed(f):
+        raise ValueError(f"{f} is not an admissible seed: it must be monic of "
+                         "degree >= 1 and neither x+1 nor x-1")
     if not trusted and not f.is_irreducible():
-        raise ValueError(f"{f} is reducible over F_{p}")
+        raise ValueError(f"{f} is reducible over F_{f.p}")
 
 
 def factor_r(f: FpPoly, *, trusted: bool = False) -> RFactorization:
     """Factor the doubling transform of a monic irreducible f (not x+-1).
 
-    Decides irreducibility with the quadratic-residue test on b**2 - 1
-    in F_p[x]/(f); in the split case the root a = b + sqrt(b**2 - 1)
-    gives one factor as its minimal polynomial and the other as the
-    reciprocal.  Pass trusted=True to skip re-checking that f is
-    irreducible (used by the sequence builder, which already knows).
+    Whether the transform splits is decided by r_irreducibility_predicate,
+    the quadratic character of f(1)*f(-1): for a root b of f that is the
+    norm of b**2 - 1, so it tells whether b**2 - 1 is a square in
+    F_p[x]/(f).  Only in the split case is that field built; the root
+    a = b + sqrt(b**2 - 1) gives one factor as its minimal polynomial and
+    the other as the reciprocal.  Pass trusted=True to skip re-checking
+    that f is irreducible (used by the sequence builder, which already
+    knows).
     """
     _validate_seed(f, trusted)
     p = f.p
     rp = f.r_transform()
-    if f == FpPoly.x(p):
-        # f = x is the one case without a nonzero root: its transform is
-        # x^2 + 1, irreducible exactly when -1 is a non-square.
-        if legendre(p - 1, p) == -1:
-            _check_predicate(f, split=False)
-            return RFactorization(rp, None)
-        i0 = fp_sqrt(p - 1, p)
-        g1 = FpPoly((p - i0, 1), p)
-        g2 = g1.reciprocal()
-        _finish_split(f, rp, g1, g2)
-        return RFactorization(rp, (g1, g2))
-    field = ExtField(p, f, check_modulus=False)
-    beta = field.beta
-    u = beta * beta - field.one
-    if u.is_zero:
-        raise InternalInvariantError("b^2 = 1 for an input other than x+-1")
-    if not field.is_square(u):
-        _check_predicate(f, split=False)
+    if r_irreducibility_predicate(f):
         return RFactorization(rp, None)
-    alpha = beta + field.sqrt(u)
-    g1 = field.minimal_poly(alpha)
+    try:
+        if f == FpPoly.x(p):
+            # f = x is the one case without a nonzero root: its transform
+            # x^2 + 1 splits over the square roots of -1.
+            g1 = FpPoly((p - fp_sqrt(p - 1, p), 1), p)
+        else:
+            field = ExtField(p, f, check_modulus=False)
+            beta = field.beta
+            g1 = field.minimal_poly(beta + field.sqrt(beta * beta - field.one))
+    except NonResidueError:
+        raise InternalInvariantError(
+            f"f(1)f(-1) is a square but b^2-1 is not, for {f}") from None
     if g1.degree != f.degree:
         raise InternalInvariantError(
             f"split factor has degree {g1.degree}, expected {f.degree}")
     g2 = g1.reciprocal()
-    _finish_split(f, rp, g1, g2)
-    return RFactorization(rp, (g1, g2))
-
-
-def _check_predicate(f: FpPoly, split: bool) -> None:
-    # The residue-test outcome must match the quadratic character of
-    # f(1) * f(-1); a mismatch means one of the two routes is broken.
-    lam = f.lambda_value()
-    if legendre(lam, f.p) != (1 if split else -1):
-        raise InternalInvariantError(
-            f"residue test and f(1)f(-1) character disagree for {f}")
-
-
-def _finish_split(f: FpPoly, rp: FpPoly, g1: FpPoly, g2: FpPoly) -> None:
-    _check_predicate(f, split=True)
     if g1 == g2:
         raise InternalInvariantError(f"split factors of {f} coincide")
     if g1 * g2 != rp:
         raise InternalInvariantError(f"split factors of {f} do not multiply back")
+    return RFactorization(rp, (g1, g2))
 
 
 def tilde(f: FpPoly) -> FpPoly:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _arith
+from .errors import InternalInvariantError
 from .extfield import ExtField, coords_str
 from .fp import nu2, require_odd_prime
 
@@ -93,7 +94,8 @@ class _FieldOps:
             inv[nonzero[k]] = self.mul(acc, prefix[k - 1])
             acc = self.mul(acc, nonzero[k])
         inv[nonzero[0]] = acc
-        assert self.mul(nonzero[0], inv[nonzero[0]]) == one
+        if self.mul(nonzero[0], inv[nonzero[0]]) != one:
+            raise InternalInvariantError("batch inversion failed its check")
         self._inv = inv
         return inv
 

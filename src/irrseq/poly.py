@@ -316,6 +316,14 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def admissible_seed(f: FpPoly) -> bool:
+    """Whether f may seed the doubling construction as far as its shape
+    goes: monic of degree >= 1 and neither x+1 nor x-1, whose transforms
+    are the squares (x+1)^2 and (x-1)^2.  Irreducibility is not checked."""
+    return (f.is_monic and f.degree >= 1
+            and not (f.degree == 1 and f.coeffs[0] in (1, f.p - 1)))
+
+
 def r_irreducibility_predicate(f: FpPoly) -> bool:
     """Whether the doubling transform of f is irreducible, decided from
     the quadratic character of f(1)*f(-1).

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import InternalInvariantError
 from .extfield import RFactorization, factor_r
 from .fp import nu2, require_odd_prime
-from .poly import FpPoly
+from .poly import FpPoly, admissible_seed
 
 TRACE_FORMAT_VERSION = 1
 
@@ -71,13 +71,11 @@ class SeqConfig:
             raise ValueError("seed polynomial does not match the prime")
         if self.target_steps < 1:
             raise ValueError("target_steps must be at least 1")
-        p = self.p
-        if self.f0 in (FpPoly((1, 1), p), FpPoly((p - 1, 1), p)):
-            raise ValueError("x+1 and x-1 are excluded seeds")
-        if not self.f0.is_monic or self.f0.degree < 1:
-            raise ValueError("seed must be monic of degree >= 1")
+        if not admissible_seed(self.f0):
+            raise ValueError(f"seed {self.f0} is not admissible: it must be monic "
+                             "of degree >= 1 and neither x+1 nor x-1")
         if not self.f0.is_irreducible():
-            raise ValueError(f"seed {self.f0} is reducible over F_{p}")
+            raise ValueError(f"seed {self.f0} is reducible over F_{self.p}")
 
 
 @dataclass(frozen=True)

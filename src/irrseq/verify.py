@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from .extfield import ExtField, factor_r, tilde
 from .fp import fp_sqrt, is_prime, legendre, matvec, nu2, solve_nullspace
 from .graph import build_graph, conjugacy_check, verify_tree_structure
-from .poly import (FpPoly, irreducibles, q_irreducibility_predicate,
-                   r_irreducibility_predicate, random_irreducible)
+from .poly import (FpPoly, admissible_seed, irreducibles,
+                   q_irreducibility_predicate, r_irreducibility_predicate,
+                   random_irreducible)
 from .sequence import SeqConfig, SeqTrace, build_sequence
 
 DEFAULT_SEED = 20240813
@@ -121,10 +122,9 @@ def check_transform_properties(p_list, n_max: int) -> PropertyResult:
     failures = []
     cases = 0
     for p in p_list:
-        skip = {FpPoly((1, 1), p), FpPoly((p - 1, 1), p)}
         for n in range(1, n_max + 1):
             for f in irreducibles(p, n):
-                if f in skip:
+                if not admissible_seed(f):
                     continue
                 cases += 1
                 res = factor_r(f)
@@ -148,19 +148,24 @@ def check_transform_properties(p_list, n_max: int) -> PropertyResult:
 
 
 def check_predicate_agreement(p_list, n_max: int) -> PropertyResult:
-    """The character-based predicates match the factor/irreducibility oracles."""
+    """The character-based predicates match Rabin's test on the transforms,
+    and the f(1)f(-1) character, on which factor_r decides, matches the
+    residue test on b^2 - 1 in F_p[x]/(f)."""
     failures = []
     cases = 0
     for p in p_list:
-        skip = {FpPoly((1, 1), p), FpPoly((p - 1, 1), p)}
         for n in range(1, n_max + 1):
             for f in irreducibles(p, n):
-                if f in skip:
+                if not admissible_seed(f):
                     continue
                 cases += 1
                 r_pred = r_irreducibility_predicate(f)
-                if r_pred != factor_r(f).is_irreducible:
-                    failures.append(f"p={p} f={f}: r-predicate disagrees with factoring")
+                if r_pred != f.r_transform().is_irreducible():
+                    failures.append(f"p={p} f={f}: r-predicate disagrees with the test")
+                field = ExtField(p, f, check_modulus=False)
+                if r_pred == field.is_square(field.beta * field.beta - field.one):
+                    failures.append(f"p={p} f={f}: r-predicate disagrees with the "
+                                    "residue test on b^2-1")
                 q_pred = q_irreducibility_predicate(f)
                 if q_pred != f.q_transform().is_irreducible():
                     failures.append(f"p={p} f={f}: q-predicate disagrees with the test")
@@ -173,10 +178,9 @@ def check_tilde_degrees(p_max: int = 7, n_max: int = 4) -> PropertyResult:
     failures = []
     cases = 0
     for p in _primes_upto(p_max):
-        skip = {FpPoly.x(p), FpPoly((1, 1), p), FpPoly((p - 1, 1), p)}
         for n in range(1, n_max + 1):
             for f in irreducibles(p, n):
-                if f in skip:
+                if f == FpPoly.x(p) or not admissible_seed(f):
                     continue
                 cases += 1
                 t = tilde(f)
@@ -196,12 +200,11 @@ def check_sequences(p_list, n_list, steps: int = 8,
     failures = []
     cases = 0
     for p in p_list:
-        skip = {FpPoly((1, 1), p), FpPoly((p - 1, 1), p)}
         for n in n_list:
             e0 = nu2(p ** n - 1)
             e1 = nu2(p ** (2 * n) - 1)
             for f0 in irreducibles(p, n):
-                if f0 in skip:
+                if not admissible_seed(f0):
                     continue
                 cases += 1
                 trace = build_sequence(SeqConfig(p=p, f0=f0, target_steps=steps))

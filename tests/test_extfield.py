@@ -100,13 +100,11 @@ class TestIsSquare:
                     assert fld.is_square(u) == (u.coords in squares)
 
     def test_norm_route_agrees_with_direct_power(self):
-        # grow a certified irreducible of degree 256 over F_11, where
-        # is_square switches to the norm route
+        # grow a certified irreducible of degree 256 over F_11
         from irrseq import SeqConfig, build_sequence
         trace = build_sequence(SeqConfig(p=11, f0=FpPoly.x(11), target_steps=11))
         f = next(g for g in trace.polynomials() if g.degree == 256)
         fld = ExtField(11, f, check_modulus=False)
-        assert fld.n * fld.p.bit_length() > 512
         rng = random.Random(17)
         half = (fld.q - 1) // 2
         for _ in range(3):
@@ -140,6 +138,19 @@ class TestSqrt:
                    if any(c) and c not in squares)
         with pytest.raises(NonResidueError):
             fld.sqrt(bad)
+        with pytest.raises(NonResidueError):
+            fld.sqrt(fld.zero)
+        # a larger field: degree 6 over F_13, non-square found by the
+        # direct (q-1)/2 power
+        from irrseq.poly import random_irreducible
+        rng = random.Random(613)
+        big = ExtField(13, random_irreducible(13, 6, rng), check_modulus=False)
+        half = (big.q - 1) // 2
+        bad = next(u for u in (big.element([rng.randrange(13) for _ in range(6)])
+                               for _ in range(100))
+                   if not u.is_zero and u ** half != big.one)
+        with pytest.raises(NonResidueError):
+            big.sqrt(bad)
 
     def test_kernel_is_one_dimensional(self, f125):
         from irrseq import solve_nullspace
@@ -273,6 +284,16 @@ class TestFactorR:
         assert not res5.is_irreducible
         assert set(map(str, res5.factors)) == {"x+2", "x+3"}
         assert res5.factors[0] * res5.factors[1] == res5.r_poly
+
+    def test_predicate_fault_is_an_invariant_error(self, monkeypatch):
+        # the f(1)f(-1) character alone decides the split; a wrong call
+        # must surface as an invariant failure, not as a bad factorization
+        import irrseq.extfield as extfield_mod
+        monkeypatch.setattr(extfield_mod, "r_irreducibility_predicate", lambda f: False)
+        with pytest.raises(InternalInvariantError):
+            factor_r(FpPoly("x^2-3x-2", 7))
+        with pytest.raises(InternalInvariantError):
+            factor_r(FpPoly.x(7))
 
     def test_rejects_bad_seeds(self):
         with pytest.raises(ValueError):

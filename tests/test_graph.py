@@ -108,6 +108,19 @@ class TestStructure:
             assert rep2.expected_depth == rep1.expected_depth + 1
 
 
+class TestBatchInverse:
+    def test_wrong_power_raises(self, monkeypatch):
+        # the batch-inverse check must survive python -O, so it cannot be
+        # an assert
+        import irrseq.graph as graph_mod
+        from irrseq import InternalInvariantError
+        monkeypatch.setattr(graph_mod._FieldOps, "_pow", lambda self, i, e: 1)
+        with pytest.raises(InternalInvariantError):
+            build_graph(7)
+        with pytest.raises(InternalInvariantError):
+            ext_graph(3, 2)
+
+
 class TestConjugacy:
     def test_small_fields(self):
         for q in [3, 5, 7, 11, 13]:

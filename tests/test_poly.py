@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from irrseq import (FpPoly, PolyParseError, irreducibles, legendre,
                     q_irreducibility_predicate, r_irreducibility_predicate)
+from irrseq.poly import admissible_seed
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -225,6 +226,14 @@ class TestLambdaAndPredicates:
         assert r_irreducibility_predicate(FpPoly.x(7)) is True
         assert r_irreducibility_predicate(FpPoly("x-3", 7)) is False
         assert r_irreducibility_predicate(FpPoly("x^2+2", 7)) is False
+
+    def test_admissible_seed(self):
+        for p in PRIMES:
+            for text in ["x+1", "x-1", "2x^2+1", "3"]:
+                assert not admissible_seed(FpPoly(text, p))
+            assert not admissible_seed(FpPoly.zero(p))
+            for text in ["x", "x^2+x+1", "x^2-1"]:
+                assert admissible_seed(FpPoly(text, p))
 
     def test_r_predicate_rejects_unit_linears(self):
         with pytest.raises(ValueError):
