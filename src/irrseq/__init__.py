@@ -6,7 +6,8 @@ linear system over F_p when it splits, and verifies the tree structure
 of the underlying halving map on the projective line.
 """
 
-from .errors import InternalInvariantError, NonResidueError, PolyParseError
+from .errors import (InternalInvariantError, NonResidueError, PolyParseError,
+                     ReducibleError)
 from .extfield import (INFINITY, ExtElem, ExtField, RFactorization, factor_r,
                        theta, tilde)
 from .fp import fp_sqrt, is_prime, legendre, nu2, solve_nullspace
@@ -22,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtElem", "ExtField", "FpPoly", "FunctionalGraph", "INFINITY",
     "InternalInvariantError", "NonResidueError", "PolyParseError",
-    "RFactorization", "SeqConfig", "SeqTrace", "StepRecord", "TieBreak",
-    "TreeReport", "build_graph", "build_sequence", "choose_factor",
+    "RFactorization", "ReducibleError", "SeqConfig", "SeqTrace", "StepRecord",
+    "TieBreak", "TreeReport", "build_graph", "build_sequence", "choose_factor",
     "conjugacy_check", "export_dot", "factor_r", "fp_sqrt", "irreducibles",
     "is_prime", "legendre", "nu2", "q_irreducibility_predicate",
     "r_irreducibility_predicate", "random_irreducible", "solve_nullspace",

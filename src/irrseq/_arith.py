@@ -327,9 +327,11 @@ class ModCtx:
 
     Caches the Newton inverse used for fast remainders and the table of
     Frobenius residues x**(p**(2**k)) mod f used for composed powers.
+    Each cache is built in a local and published by one assignment, never
+    mutated afterwards, so threads may share a context.
     """
 
-    __slots__ = ("p", "f", "d", "_inv", "_inv_prec", "_frob_sq")
+    __slots__ = ("p", "f", "d", "_inv", "_frob_sq")
 
     def __init__(self, f: list[int], p: int):
         if len(f) < 2:
@@ -340,28 +342,27 @@ class ModCtx:
         self.f = f[:]
         self.d = len(f) - 1
         self._inv = None
-        self._inv_prec = 0
         self._frob_sq = None
 
     # -- reduction -------------------------------------------------------
 
-    def _inverse(self, prec: int) -> list[int]:
-        if self._inv is None or self._inv_prec < prec:
-            want = max(prec, self.d)
-            self._inv = series_inverse(self.f[::-1], self.p, want)
-            self._inv_prec = want
-        return self._inv
+    def _inverse(self) -> list[int]:
+        # reduce needs at most d - 1 coefficients of 1/rev(f)
+        inv = self._inv
+        if inv is None:
+            inv = self._inv = series_inverse(self.f[::-1], self.p, self.d)
+        return inv
 
     def reduce(self, c: list[int]) -> list[int]:
         """Remainder of a canonical list modulo f."""
         d = self.d
         if len(c) <= d:
             return trim(c[:])
-        if len(c) > 2 * d - 1 and d > 1:
+        if len(c) > 2 * d - 1:
             return rem(c, self.f, self.p)
         p = self.p
         m = len(c) - d
-        inv = self._inverse(m)
+        inv = self._inverse()
         qrev = mul_low(c[::-1], inv, p, m)
         qrev += [0] * (m - len(qrev))
         q = trim(qrev[::-1])
@@ -445,16 +446,20 @@ class ModCtx:
 
     def frob_base(self) -> list[int]:
         """x**p mod f."""
-        if self._frob_sq is None:
-            self._frob_sq = [self.powmod([0, 1], self.p)]
-        return self._frob_sq[0]
+        table = self._frob_sq
+        if table is None:
+            table = self._frob_sq = [self.powmod([0, 1], self.p)]
+        return table[0]
 
     def _frob_table(self, k: int) -> list[list[int]]:
         self.frob_base()
-        while len(self._frob_sq) <= k:
-            last = self._frob_sq[-1]
-            self._frob_sq.append(self.compose(last, last))
-        return self._frob_sq
+        table = self._frob_sq
+        if len(table) <= k:
+            table = table[:]
+            while len(table) <= k:
+                table.append(self.compose(table[-1], table[-1]))
+            self._frob_sq = table
+        return table
 
     def frob_power(self, e: int) -> list[int]:
         """x**(p**e) mod f, assembled from the cached doubling table."""

@@ -1,9 +1,17 @@
 """Command-line front end.
 
 Subcommands: transform, factor, sequence, tilde, graph, verify.  All
-output is byte-deterministic for identical invocations.  Exit codes: 0
-success, 1 verification failure, 2 usage or parse error, 3 domain
-precondition failure (e.g. factoring a reducible polynomial).
+output is byte-deterministic for identical invocations.  Inputs are
+validated by the library functions the commands call; ``main`` maps what
+they raise to one exit code each and prints ``error: ...`` to stderr,
+never a traceback:
+
+- 0: success;
+- 1: a verification failed (``graph``, ``verify``), or an internal
+  invariant broke (``InternalInvariantError``);
+- 2: usage or parse error: a bad prime, polynomial or option, an excluded
+  seed, or an ``OSError`` writing ``--json`` or ``--dot``;
+- 3: a seed that must be irreducible is not (``ReducibleError``).
 """
 
 from __future__ import annotations
@@ -11,83 +19,32 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import PolyParseError
-from .extfield import factor_r, tilde
-from .fp import is_prime
+from .errors import InternalInvariantError, ReducibleError
+from .extfield import ExtField, factor_r, tilde
 from .graph import GRAPH_LIMIT, build_graph, conjugacy_check, export_dot, verify_tree_structure
-from .poly import FpPoly, admissible_seed
+from .poly import FpPoly, irreducibles
 from .sequence import SeqConfig, TieBreak, build_sequence
 from .verify import run_all
-from .extfield import ExtField
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _DomainError(Exception):
-    pass
-
-
-def _parse_prime(text: str) -> int:
-    try:
-        p = int(text)
-    except ValueError:
-        raise _UsageError(f"prime expected, got {text!r}")
-    if p == 2 or not is_prime(p):
-        raise _UsageError(f"{p} is not an odd prime")
-    return p
-
-
-def _parse_poly(text: str, p: int) -> FpPoly:
-    try:
-        return FpPoly(text, p)
-    except PolyParseError as exc:
-        raise _UsageError(str(exc))
-
-
-def _require_seed(f: FpPoly, *, allow_x: bool = True) -> None:
-    if not admissible_seed(f):
-        raise _UsageError(f"{f} is not an admissible input: it must be monic "
-                          "of degree >= 1 and neither x+1 nor x-1")
-    if not allow_x and f == FpPoly.x(f.p):
-        raise _UsageError("x is an excluded input here (its only root is 0)")
 
 
 def _cmd_transform(args) -> int:
-    p = _parse_prime(args.p)
-    f = _parse_poly(args.poly, p)
-    if not f.is_monic or f.degree < 1:
-        raise _UsageError(f"{f} is not monic of degree >= 1")
-    out = f.q_transform() if args.q_transform else f.r_transform()
-    print(out)
+    f = FpPoly(args.poly, args.p)
+    print(f.q_transform() if args.q_transform else f.r_transform())
     return 0
 
 
 def _cmd_factor(args) -> int:
-    p = _parse_prime(args.p)
-    f = _parse_poly(args.poly, p)
-    _require_seed(f)
-    if not f.is_irreducible():
-        raise _DomainError(f"{f} is reducible over F_{p}")
-    res = factor_r(f, trusted=True)
-    if res.is_irreducible:
-        print(f"irreducible: {res.r_poly}")
-    else:
+    res = factor_r(FpPoly(args.poly, args.p))
+    if res.factors:
         g1, g2 = sorted(res.factors, key=lambda g: tuple(reversed(g.coeffs)))
         print(f"split: {g1} * {g2}")
+    else:
+        print(f"irreducible: {res.r_poly}")
     return 0
 
 
 def _cmd_sequence(args) -> int:
-    p = _parse_prime(args.p)
-    f = _parse_poly(args.poly, p)
-    _require_seed(f)
-    if args.steps < 1:
-        raise _UsageError("--steps must be at least 1")
-    if not f.is_irreducible():
-        raise _UsageError(f"{f} is reducible over F_{p}")
-    cfg = SeqConfig(p=p, f0=f, target_steps=args.steps,
+    cfg = SeqConfig(p=args.p, f0=FpPoly(args.poly, args.p), target_steps=args.steps,
                     tie_break=TieBreak(args.tie_break))
     trace = build_sequence(cfg)
     for rec in trace.steps:
@@ -106,28 +63,20 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_tilde(args) -> int:
-    p = _parse_prime(args.p)
-    f = _parse_poly(args.poly, p)
-    _require_seed(f, allow_x=False)
-    if not f.is_irreducible():
-        raise _UsageError(f"{f} is reducible over F_{p}")
-    result = tilde(f)
+    result = tilde(FpPoly(args.poly, args.p))
     print(result)
     print(f"degree={result.degree}")
     return 0
 
 
 def _cmd_graph(args) -> int:
-    p = _parse_prime(args.p)
-    n = args.n
-    if n < 1:
-        raise _UsageError("--n must be at least 1")
-    if p ** n > GRAPH_LIMIT:
-        raise _UsageError(f"{p}^{n} exceeds the graph size limit {GRAPH_LIMIT}")
+    p, n = args.p, args.n
+    # build_graph checks the size too, but only after the modulus search
+    if n > 1 and p ** n > GRAPH_LIMIT:
+        raise ValueError(f"{p}^{n} exceeds the graph size limit {GRAPH_LIMIT}")
     if n == 1:
         g = build_graph(p)
     else:
-        from .poly import irreducibles
         modulus = next(iter(irreducibles(p, n)))
         g = build_graph(ExtField(p, modulus, check_modulus=False))
     wrote = False
@@ -152,7 +101,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.p_max < 3 or args.n_max < 1:
-        raise _UsageError("--p-max must be >= 3 and --n-max >= 1")
+        raise ValueError("--p-max must be >= 3 and --n-max >= 1")
     results = run_all(args.p_max, args.n_max)
     bad = False
     for res in results:
@@ -171,19 +120,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("transform", help="apply the degree-doubling transform")
-    t.add_argument("--p", required=True)
+    t.add_argument("--p", type=int, required=True)
     t.add_argument("--poly", required=True)
     t.add_argument("--q-transform", action="store_true",
                    help="use x^n f(x+1/x) instead of (2x)^n f((x+1/x)/2)")
     t.set_defaults(func=_cmd_transform)
 
     f = sub.add_parser("factor", help="factor the transform of an irreducible input")
-    f.add_argument("--p", required=True)
+    f.add_argument("--p", type=int, required=True)
     f.add_argument("--poly", required=True)
     f.set_defaults(func=_cmd_factor)
 
     s = sub.add_parser("sequence", help="build an irreducible sequence with trace")
-    s.add_argument("--p", required=True)
+    s.add_argument("--p", type=int, required=True)
     s.add_argument("--poly", required=True)
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--tie-break", choices=[t.value for t in TieBreak],
@@ -192,12 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sequence)
 
     td = sub.add_parser("tilde", help="minimal polynomial of the mapped root")
-    td.add_argument("--p", required=True)
+    td.add_argument("--p", type=int, required=True)
     td.add_argument("--poly", required=True)
     td.set_defaults(func=_cmd_tilde)
 
     g = sub.add_parser("graph", help="build and check the halving-map graph")
-    g.add_argument("--p", required=True)
+    g.add_argument("--p", type=int, required=True)
     g.add_argument("--n", type=int, default=1)
     g.add_argument("--dot", metavar="PATH", help="write DOT text here")
     g.add_argument("--report", action="store_true", help="print the structure report")
@@ -218,12 +167,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (ValueError, OSError, InternalInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, ReducibleError):
+            return 3
+        return 1 if isinstance(exc, InternalInvariantError) else 2
 
 
 if __name__ == "__main__":

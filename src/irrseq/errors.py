@@ -5,6 +5,10 @@ class PolyParseError(ValueError):
     """Raised when a polynomial string does not match the input grammar."""
 
 
+class ReducibleError(ValueError):
+    """Raised when a seed or field modulus that must be irreducible is not."""
+
+
 class NonResidueError(ValueError):
     """Raised when a square root is requested for a quadratic non-residue."""
 

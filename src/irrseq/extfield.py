@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _arith
-from .errors import InternalInvariantError, NonResidueError
+from .errors import InternalInvariantError, NonResidueError, ReducibleError
 from .fp import fp_sqrt, legendre, require_odd_prime, solve_nullspace
 from .poly import FpPoly, admissible_seed, r_irreducibility_predicate
 
@@ -33,7 +33,7 @@ class ExtField:
         if not modulus.is_monic or modulus.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
         if check_modulus and not modulus.is_irreducible():
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            raise ReducibleError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.modulus = modulus
         self.n = modulus.degree
@@ -377,11 +377,13 @@ class RFactorization:
 
 
 def _validate_seed(f: FpPoly, trusted: bool) -> None:
+    """The one check of a seed: admissible in shape (ValueError) and, unless
+    trusted, irreducible (ReducibleError)."""
     if not admissible_seed(f):
         raise ValueError(f"{f} is not an admissible seed: it must be monic of "
                          "degree >= 1 and neither x+1 nor x-1")
     if not trusted and not f.is_irreducible():
-        raise ValueError(f"{f} is reducible over F_{f.p}")
+        raise ReducibleError(f"{f} is reducible over F_{f.p}")
 
 
 def factor_r(f: FpPoly, *, trusted: bool = False) -> RFactorization:

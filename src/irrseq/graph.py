@@ -349,9 +349,8 @@ def conjugacy_check(g: FunctionalGraph) -> bool:
         return ops.mul(i, i)
 
     for x in range(g.size):
-        if psi(psi(x)) != x:
-            return False
-        if g.successor[x] != psi(s2(psi(x))):
+        y = psi(x)
+        if psi(y) != x or g.successor[x] != psi(s2(y)):
             return False
     return True
 

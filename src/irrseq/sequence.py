@@ -22,9 +22,9 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
-from .extfield import RFactorization, factor_r
+from .extfield import RFactorization, _validate_seed, factor_r
 from .fp import nu2, require_odd_prime
-from .poly import FpPoly, admissible_seed
+from .poly import FpPoly
 
 TRACE_FORMAT_VERSION = 1
 
@@ -71,11 +71,7 @@ class SeqConfig:
             raise ValueError("seed polynomial does not match the prime")
         if self.target_steps < 1:
             raise ValueError("target_steps must be at least 1")
-        if not admissible_seed(self.f0):
-            raise ValueError(f"seed {self.f0} is not admissible: it must be monic "
-                             "of degree >= 1 and neither x+1 nor x-1")
-        if not self.f0.is_irreducible():
-            raise ValueError(f"seed {self.f0} is reducible over F_{self.p}")
+        _validate_seed(self.f0, trusted=False)
 
 
 @dataclass(frozen=True)

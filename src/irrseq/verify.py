@@ -8,6 +8,7 @@ same functions at the documented parameter ranges.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -366,18 +367,20 @@ def run_all(p_max: int = 13, n_max: int = 3, *, graph_q_max: int | None = None,
     return results
 
 
-def _all_monic(p: int, n: int):
-    import itertools
+def all_monic(p: int, n: int):
+    """Every monic polynomial of degree n over F_p."""
     for tail in itertools.product(range(p), repeat=n):
         yield FpPoly(tail + (1,), p)
 
 
-def _brute_irreducible(f: FpPoly) -> bool:
+def brute_irreducible(f: FpPoly) -> bool:
+    """Trial division by every monic polynomial of at most half degree;
+    False for constants."""
     n = f.degree
-    if n == 1:
-        return True
+    if n < 1:
+        return False
     for d in range(1, n // 2 + 1):
-        for g in _all_monic(f.p, d):
+        for g in all_monic(f.p, d):
             if (f % g).is_zero:
                 return False
     return True
@@ -390,8 +393,8 @@ def check_rabin_bruteforce(p_max: int = 7, n_max: int = 4) -> PropertyResult:
     cases = 0
     for p in _primes_upto(p_max):
         for n in range(1, n_max + 1):
-            for f in _all_monic(p, n):
+            for f in all_monic(p, n):
                 cases += 1
-                if f.is_irreducible() != _brute_irreducible(f):
+                if f.is_irreducible() != brute_irreducible(f):
                     failures.append(f"p={p} f={f}: fast and brute-force tests disagree")
     return PropertyResult("irreducibility-vs-bruteforce", cases, failures)

@@ -11,6 +11,8 @@ import sympy
 from sympy.abc import x as _x
 
 from irrseq import FpPoly
+# the trial-division oracle lives in the package, where `irrseq verify` uses it
+from irrseq.verify import all_monic, brute_irreducible  # noqa: F401
 
 
 def to_sympy(f: FpPoly):
@@ -19,23 +21,6 @@ def to_sympy(f: FpPoly):
 
 def from_sympy(poly, p: int) -> FpPoly:
     return FpPoly([int(c) % p for c in reversed(poly.all_coeffs())], p)
-
-
-def all_monic(p: int, n: int):
-    for tail in itertools.product(range(p), repeat=n):
-        yield FpPoly(tail + (1,), p)
-
-
-def brute_irreducible(f: FpPoly) -> bool:
-    """Trial division by every monic polynomial of at most half degree."""
-    n = f.degree
-    if n < 1:
-        return False
-    for d in range(1, n // 2 + 1):
-        for g in all_monic(f.p, d):
-            if (f % g).is_zero:
-                return False
-    return True
 
 
 def sympy_irreducible(f: FpPoly) -> bool:

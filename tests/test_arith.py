@@ -1,6 +1,8 @@
 """Equivalence of the fast kernel paths with naive reference loops."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -295,3 +297,34 @@ def test_expand_grows_degree_and_is_monic():
             out = _arith.expand_x_plus_xinv(b, p)
             assert len(out) == 2 * n + 1
             assert out[-1] == 1
+
+
+def test_frob_power_threads_share_one_context():
+    # concurrent first calls race to extend the doubling table; each
+    # must still get its own power
+    rng = random.Random(11)
+    p, exps = 7, [37, 150, 255, 299]
+    f = [rng.randrange(p) for _ in range(300)] + [1]
+    ref = _arith.ModCtx(f, p)
+    want = {e: ref.frob_power(e) for e in exps}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(3):
+            ctx = _arith.ModCtx(f, p)
+            barrier = threading.Barrier(len(exps), timeout=60)
+            got = {}
+
+            def run(e):
+                barrier.wait()
+                got[e] = ctx.frob_power(e)
+
+            threads = [threading.Thread(target=run, args=(e,)) for e in exps]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)

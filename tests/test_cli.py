@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from irrseq import FpPoly, cli
 from irrseq.cli import main
+from irrseq.errors import InternalInvariantError
 from irrseq.sequence import SeqTrace
 
 
@@ -95,7 +97,7 @@ class TestSequence:
 
     def test_invalid_inputs(self, capsys):
         assert run_cli(capsys, "sequence", "--p", "7", "--poly", "x^2+x+1",
-                       "--steps", "3")[0] == 2
+                       "--steps", "3")[0] == 3
         assert run_cli(capsys, "sequence", "--p", "7", "--poly", "x",
                        "--steps", "0")[0] == 2
 
@@ -153,6 +155,49 @@ class TestVerify:
 
     def test_bad_bounds(self, capsys):
         assert run_cli(capsys, "verify", "--p-max", "1")[0] == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, code", [
+        (["factor", "--p", "7", "--poly", "x^2+x+1"], 3),
+        (["sequence", "--p", "7", "--poly", "x^2+x+1", "--steps", "3"], 3),
+        (["tilde", "--p", "7", "--poly", "x^2+x+1"], 3),
+        (["sequence", "--p", "7", "--poly", "x-1", "--steps", "3"], 2),
+        (["factor", "--p", "9", "--poly", "x"], 2),
+        (["sequence", "--p", "7", "--poly", "x", "--steps", "0"], 2),
+        (["sequence", "--p", "7", "--poly", "x", "--steps", "2",
+          "--json", "{missing}/trace.json"], 2),
+        (["graph", "--p", "5", "--dot", "{missing}/out.dot"], 2),
+    ])
+    def test_table(self, capsys, tmp_path, argv, code):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_internal_invariant_is_verification_failure(self, capsys, monkeypatch):
+        def broken(f):
+            raise InternalInvariantError("split factors do not multiply back")
+
+        monkeypatch.setattr(cli, "factor_r", broken)
+        code, _, err = run_cli(capsys, "factor", "--p", "7", "--poly", "x^2+1")
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_sequence_tests_seed_once(self, capsys, monkeypatch):
+        seed = FpPoly("x^2+1", 7)
+        calls = []
+        original = FpPoly.is_irreducible
+
+        def counting(self):
+            if self == seed:
+                calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(FpPoly, "is_irreducible", counting)
+        assert run_cli(capsys, "sequence", "--p", "7", "--poly", "x^2+1",
+                       "--steps", "3")[0] == 0
+        assert len(calls) == 1
 
 
 class TestEntryPoints:
