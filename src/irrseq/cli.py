@@ -47,6 +47,10 @@ def _cmd_sequence(args) -> int:
     cfg = SeqConfig(p=args.p, f0=FpPoly(args.poly, args.p), target_steps=args.steps,
                     tie_break=TieBreak(args.tie_break))
     trace = build_sequence(cfg)
+    # write the file first, so that a failed write prints no partial result
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(trace.to_json())
     for rec in trace.steps:
         poly = rec.result_poly
         if rec.outcome == "split":
@@ -56,9 +60,6 @@ def _cmd_sequence(args) -> int:
             print(f"f{rec.index} deg={rec.degree} irreducible {poly}")
     print(f"e0={trace.e0} e1={trace.e1} s1={trace.s1} s2={trace.s2} "
           f"backtracked={'true' if trace.backtracked else 'false'}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(trace.to_json())
     return 0
 
 
@@ -71,8 +72,10 @@ def _cmd_tilde(args) -> int:
 
 def _cmd_graph(args) -> int:
     p, n = args.p, args.n
-    # build_graph checks the size too, but only after the modulus search
-    if n > 1 and p ** n > GRAPH_LIMIT:
+    # build_graph checks the size too, but only after the modulus search.
+    # For p >= 2, p^n exceeds the limit once n reaches its bit length, so
+    # the exact power, slow for a huge n, is only computed below that.
+    if n > 1 and p > 1 and (n >= GRAPH_LIMIT.bit_length() or p ** n > GRAPH_LIMIT):
         raise ValueError(f"{p}^{n} exceeds the graph size limit {GRAPH_LIMIT}")
     if n == 1:
         g = build_graph(p)

@@ -2,9 +2,12 @@
 
 ExtField fixes an odd prime p together with a monic irreducible modulus
 and exposes element arithmetic, the quadratic-residue test, square roots
-obtained from a linear system over F_p, minimal polynomials, the map
-x -> (x + 1/x)/2 on the projective line, and the equal-degree
-factorization of the doubling transform of an irreducible polynomial.
+and minimal polynomials, the map x -> (x + 1/x)/2 on the projective line,
+and the equal-degree factorization of the doubling transform of an
+irreducible polynomial.  Square roots and minimal polynomials both come
+from the kernel of a matrix of powers over F_p (solve_nullspace): the
+square root from c**p = A*c, the minimal polynomial of u from the first
+linear dependency among 1, u, ..., u**n.
 Whether that transform splits is decided once, from the character of
 f(1)*f(-1) in F_p; the field is only built to find the factors.
 
@@ -90,6 +93,13 @@ class ExtField:
 
     # -- linear structure ----------------------------------------------------
 
+    def _power_matrix(self, a: "ExtElem", v: "ExtElem", k: int) -> list[list[int]]:
+        """n x k matrix whose column j holds the coordinates of a * v**j."""
+        cols = [a]
+        while len(cols) < k:
+            cols.append(cols[-1] * v)
+        return [list(row) for row in zip(*(c.coords for c in cols))]
+
     def frobenius_matrix(self) -> list[list[int]]:
         """n x n matrix F with column j the coordinates of b**(p*j).
 
@@ -97,27 +107,13 @@ class ExtField:
         is F_p-linear.  Built once per field and cached.
         """
         if self._frob_matrix is None:
-            ctx = self._ctx
-            xp = ctx.frob_base()
-            cols = [[1] + [0] * (self.n - 1)]
-            cur = [1]
-            for _ in range(self.n - 1):
-                cur = ctx.mulmod(cur, xp)
-                cols.append(self._pad(cur))
-            self._frob_matrix = [[cols[j][i] for j in range(self.n)]
-                                 for i in range(self.n)]
+            self._frob_matrix = self._power_matrix(
+                self.one, self._make(self._ctx.frob_base()), self.n)
         return self._frob_matrix
 
     def multiplication_matrix(self, a: "ExtElem") -> list[list[int]]:
         """n x n matrix M with column j the coordinates of a * b**j."""
-        ctx = self._ctx
-        cols = []
-        cur = list(a.coords)
-        for j in range(self.n):
-            if j:
-                cur = ctx.mulmod(cur, [0, 1])
-            cols.append(self._pad(cur))
-        return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
+        return self._power_matrix(a, self.beta, self.n)
 
     # -- predicates and roots --------------------------------------------
 
@@ -177,32 +173,20 @@ class ExtField:
         return self._make(ctx.compose(_arith.trim(list(u.coords)), ctx.frob_base()))
 
     def minimal_poly(self, u: "ExtElem") -> FpPoly:
-        """Minimal polynomial of u over F_p: the product of x - v over the
-        distinct Frobenius conjugates v of u."""
+        """Minimal polynomial of u over F_p.
+
+        It is the first linear dependency among 1, u, ..., u**n: the
+        columns before the first free one of that n x (n+1) power matrix
+        are independent, so the first vector of the canonical kernel basis
+        is (c_0, ..., c_(m-1), 1, 0, ...) with m the least possible degree.
+        """
         self._own(u)
-        orbit = [u]
-        v = self.frobenius(u)
-        while v != u:
-            orbit.append(v)
-            v = self.frobenius(v)
-            if len(orbit) > self.n:
-                raise InternalInvariantError("Frobenius orbit exceeded the field degree")
-        if self.n % len(orbit):
-            raise InternalInvariantError("orbit size does not divide the field degree")
-        # product of linear factors, coefficients living in the field
-        coeffs = [self.one]
-        for v in orbit:
-            nxt = [self.zero] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - c * v
-            coeffs = nxt
-        flat = []
-        for c in coeffs:
-            if any(c.coords[1:]):
-                raise InternalInvariantError("minimal polynomial coefficient not in F_p")
-            flat.append(c.coords[0])
-        return FpPoly(flat, self.p)
+        kernel = solve_nullspace(self._power_matrix(self.one, u, self.n + 1), self.p)
+        m = FpPoly(kernel[0], self.p)
+        if self.n % m.degree:
+            raise InternalInvariantError(
+                f"minimal polynomial degree {m.degree} does not divide {self.n}")
+        return m
 
     def _own(self, u: "ExtElem") -> None:
         if u.field is not self and u.field != self:

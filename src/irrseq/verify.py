@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .errors import InternalInvariantError, NonResidueError
 from .extfield import ExtField, factor_r, tilde
 from .fp import fp_sqrt, is_prime, legendre, matvec, nu2, solve_nullspace
 from .graph import build_graph, conjugacy_check, verify_tree_structure
@@ -317,8 +318,9 @@ def check_tree_depth_doubling(q_max: int = 4096) -> PropertyResult:
 
 def check_ext_sqrt(samples: int = 200, p_max: int = 1000, n_max: int = 8,
                    seed: int = DEFAULT_SEED) -> PropertyResult:
-    """Random square roots in random extensions square back, and the
-    underlying linear system has a one-dimensional kernel."""
+    """Random square roots in random extensions square back.  ExtField.sqrt
+    itself raises when its linear system does not have a one-dimensional
+    kernel; each such error is recorded as a failure."""
     rng = random.Random(seed)
     primes = _primes_upto(p_max)
     failures = []
@@ -332,15 +334,13 @@ def check_ext_sqrt(samples: int = 200, p_max: int = 1000, n_max: int = 8,
             continue
         cases += 1
         a = r * r
-        root = field.sqrt(a)
+        try:
+            root = field.sqrt(a)
+        except (InternalInvariantError, NonResidueError) as exc:
+            failures.append(f"p={p} n={n}: sqrt raised {type(exc).__name__}: {exc}")
+            continue
         if root * root != a:
             failures.append(f"p={p} n={n}: sqrt fails to square back")
-        cap_a = a ** ((p - 1) // 2)
-        frob = field.frobenius_matrix()
-        mult = field.multiplication_matrix(cap_a)
-        system = [[(frob[i][j] - mult[i][j]) % p for j in range(n)] for i in range(n)]
-        if len(solve_nullspace(system, p)) != 1:
-            failures.append(f"p={p} n={n}: kernel dimension is not 1")
     return PropertyResult("ext-sqrt", cases, failures)
 
 

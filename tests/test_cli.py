@@ -168,11 +168,14 @@ class TestExitCodes:
         (["sequence", "--p", "7", "--poly", "x", "--steps", "2",
           "--json", "{missing}/trace.json"], 2),
         (["graph", "--p", "5", "--dot", "{missing}/out.dot"], 2),
+        # refused from n alone: 3^30000000 is never computed
+        (["graph", "--p", "3", "--n", "30000000"], 2),
     ])
     def test_table(self, capsys, tmp_path, argv, code):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
-        got, _, err = run_cli(capsys, *argv)
+        got, out, err = run_cli(capsys, *argv)
         assert got == code
+        assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_internal_invariant_is_verification_failure(self, capsys, monkeypatch):

@@ -206,6 +206,30 @@ class TestMinimalPoly:
                 acc = acc * u + fld.scalar(c)
             assert acc.is_zero
 
+    @pytest.mark.parametrize("p, n", [(3, 4), (5, 4), (3, 6), (7, 6)])
+    def test_every_subfield_degree(self, p, n):
+        # u^((q-1)/(p^d-1)) lies in the subfield of degree d, so these
+        # fields reach minimal polynomials of degree strictly between 1 and n
+        from irrseq.poly import random_irreducible
+        rng = random.Random(p * 100 + n)
+        fld = ExtField(p, random_irreducible(p, n, rng), check_modulus=False)
+        q = p ** n
+        elems = [fld.zero, fld.one, fld.scalar(p - 1), fld.scalar(2)]
+        elems += [fld.element([rng.randrange(p) for _ in range(n)]) for _ in range(15)]
+        elems += [u ** ((q - 1) // (p ** d - 1)) for u in elems[4:9]
+                  for d in range(1, n + 1) if n % d == 0]
+        degrees = set()
+        for u in elems:
+            m = fld.minimal_poly(u)
+            assert m.is_monic and m.is_irreducible()
+            assert n % m.degree == 0
+            acc = fld.zero
+            for c in reversed(m.coeffs):
+                acc = acc * u + fld.scalar(c)
+            assert acc.is_zero
+            degrees.add(m.degree)
+        assert {d for d in range(2, n) if n % d == 0} <= degrees
+
 
 class TestTheta:
     def test_fixed_cases(self, f125):

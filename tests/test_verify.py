@@ -3,8 +3,8 @@
 import pytest
 
 import irrseq.sequence as sequence_mod
-from irrseq import TieBreak
-from irrseq.verify import (check_nu2_doubling, check_sequence_goldens,
+from irrseq import ExtField, InternalInvariantError, TieBreak
+from irrseq.verify import (check_ext_sqrt, check_nu2_doubling, check_sequence_goldens,
                            check_tree_depth_doubling, run_all)
 
 
@@ -25,6 +25,18 @@ def test_goldens_catch_mutated_tie_break(monkeypatch):
     res = check_sequence_goldens()
     assert not res.ok
     assert any("run from" in f for f in res.failures)
+
+
+def test_ext_sqrt_records_invariant_errors(monkeypatch):
+    # negative control: a kernel-dimension fault inside sqrt is a failure
+    # string, not an exception out of the sweep
+    def broken(self, a):
+        raise InternalInvariantError("square-root system has kernel dimension 2")
+
+    monkeypatch.setattr(ExtField, "sqrt", broken)
+    res = check_ext_sqrt(samples=5, p_max=50, n_max=3)
+    assert res.cases == 5 and len(res.failures) == 5
+    assert all("kernel dimension 2" in f for f in res.failures)
 
 
 def test_nu2_counterexamples_guarded():
