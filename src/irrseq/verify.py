@@ -12,6 +12,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInvariantError, NonResidueError
 from .extfield import ExtField, factor_r, tilde
 from .fp import fp_sqrt, is_prime, legendre, matvec, nu2, solve_nullspace
@@ -282,19 +284,17 @@ def _fixed_irreducible(p: int, n: int) -> FpPoly:
 
 
 def _indegree_violations(g) -> list[str]:
-    indeg = [0] * g.size
-    for w in g.successor:
-        indeg[w] += 1
-    out = []
-    for v in range(g.size):
-        if v == g.inf:
-            if sorted(u for u, w in enumerate(g.successor) if w == v) != sorted([0, g.inf]):
-                out.append(f"q={g.q}: preimages of infinity are not {{0, inf}}")
-        elif v in (g.one, g.minus_one):
-            if indeg[v] != 1:
-                out.append(f"q={g.q}: fixed point {g.labels[v]} has in-degree {indeg[v]}")
-        elif indeg[v] not in (0, 2):
-            out.append(f"q={g.q}: point {g.labels[v]} has in-degree {indeg[v]}")
+    indeg = np.bincount(g.successor, minlength=g.size)
+    fixed = np.zeros(g.size, dtype=bool)
+    fixed[[g.one, g.minus_one]] = True
+    bad = np.where(fixed, indeg != 1, (indeg != 0) & (indeg != 2))
+    bad[g.inf] = False
+    points = np.flatnonzero(bad)
+    out = [f"q={g.q}: {'fixed point' if fixed[v] else 'point'} {label} has in-degree {indeg[v]}"
+           for v, label in zip(points.tolist(), g.labels_of(points))]
+    # the preimages of infinity are exactly 0 and infinity itself
+    if indeg[g.inf] != 2 or g.successor[0] != g.inf or g.successor[g.inf] != g.inf:
+        out.append(f"q={g.q}: preimages of infinity are not {{0, inf}}")
     return out
 
 

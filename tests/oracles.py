@@ -10,7 +10,7 @@ import itertools
 import sympy
 from sympy.abc import x as _x
 
-from irrseq import FpPoly
+from irrseq import FpPoly, nu2
 # the trial-division oracle lives in the package, where `irrseq verify` uses it
 from irrseq.verify import all_monic, brute_irreducible  # noqa: F401
 
@@ -74,3 +74,61 @@ def count_irreducibles(p: int, n: int) -> int:
     for d in sympy.divisors(n):
         total += sympy.mobius(n // d) * p ** d
     return total // n
+
+
+def tree_report_by_points(g) -> tuple[list[str], list[tuple]]:
+    """Violations and root records of verify_tree_structure, computed one
+    point at a time from the graph's lists; records are tuples (root,
+    label, depth, root_children, nodes_per_level, leaf_count)."""
+    succ, per, level, root = (a.tolist() for a in
+                              (g.successor, g.periodic, g.level, g.tree_root))
+    labels, want = g.labels, nu2(g.q - 1)
+    kids = [[] for _ in range(g.size)]
+    members = {}
+    for v in range(g.size):
+        if not per[v]:
+            kids[succ[v]].append(v)
+            members.setdefault(root[v], []).append(v)
+    violations, records = [], []
+    for r in (r for r in range(g.size) if per[r]):
+        mem = members.get(r, [])
+        if r in (g.one, g.minus_one):
+            if mem or kids[r]:
+                violations.append(f"q={g.q}: fixed point {labels[r]} has a tree")
+            continue
+        depth = max((level[u] for u in mem), default=0)
+        per_level = [1] + [0] * depth
+        for u in mem:
+            per_level[level[u]] += 1
+        if depth != want:
+            violations.append(f"q={g.q}: tree at {labels[r]} has depth {depth}, want {want}")
+        if len(kids[r]) != 1:
+            violations.append(f"q={g.q}: root {labels[r]} has {len(kids[r])} children, want 1")
+        leaves = 0
+        for u in mem:
+            if level[u] == want:
+                leaves += 1
+                if kids[u]:
+                    violations.append(f"q={g.q}: node {labels[u]} at full depth has children")
+            elif len(kids[u]) != 2:
+                violations.append(
+                    f"q={g.q}: internal node {labels[u]} has {len(kids[u])} children, want 2")
+        records.append((r, labels[r], depth, len(kids[r]), per_level, leaves))
+    return violations, records
+
+
+def indegree_violations_by_points(g) -> list[str]:
+    """verify's in-degree violations, one point at a time."""
+    succ, labels = g.successor.tolist(), g.labels
+    indeg = [succ.count(v) for v in range(g.size)]
+    out = []
+    for v in range(g.size):
+        if v == g.inf:
+            if sorted(u for u, w in enumerate(succ) if w == v) != [0, g.inf]:
+                out.append(f"q={g.q}: preimages of infinity are not {{0, inf}}")
+        elif v in (g.one, g.minus_one):
+            if indeg[v] != 1:
+                out.append(f"q={g.q}: fixed point {labels[v]} has in-degree {indeg[v]}")
+        elif indeg[v] not in (0, 2):
+            out.append(f"q={g.q}: point {labels[v]} has in-degree {indeg[v]}")
+    return out
